@@ -13,7 +13,9 @@ module replaces that path with a *supervised* executor:
   plus deterministic seeded jitter — the delay schedule reuses
   :class:`repro.faults.policy.RetryPolicy` and
   :class:`repro.faults.prng.DeterministicStream`, so a rerun of the same
-  campaign waits the same milliseconds;
+  campaign waits the same milliseconds; a job that raises a
+  :class:`~repro.errors.SegBusError` (a model the emulator refuses) is
+  deterministic and goes to the ledger after its first attempt;
 * a worker that dies (chaos kill, OOM, segfault) is detected, its
   in-flight jobs are requeued, and a replacement process is spawned —
   the supervised equivalent of ``BrokenProcessPool`` recovery, except
@@ -109,7 +111,9 @@ class ExecutorPolicy:
     ``max_attempts``
         total tries per job (first attempt included); crashes and
         timeouts of the *running* job count as failed attempts, so a
-        job that always kills its worker cannot respawn forever.
+        job that always kills its worker cannot respawn forever.  A
+        job that raises a :class:`~repro.errors.SegBusError` fails the
+        same way every time and is never retried.
     ``timeout_s``
         per-job wall-clock budget measured from the worker's last
         progress; ``None`` disables it.  Expiry kills the worker
@@ -179,7 +183,9 @@ class ExecutorPolicy:
 class JobFailure:
     """One exhausted job: what failed, how often, and why.
 
-    ``kind`` is ``"error"`` (the job raised), ``"timeout"`` (per-job
+    ``kind`` is ``"model"`` (the job raised a
+    :class:`~repro.errors.SegBusError`: deterministic, not retried),
+    ``"error"`` (the job raised anything else), ``"timeout"`` (per-job
     budget expired) or ``"crash"`` (the worker process died while
     running it).
     """
@@ -497,6 +503,11 @@ class CheckpointJournal:
 # ---------------------------------------------------------------------------
 
 
+def _failure_kind(exc: Exception) -> str:
+    """Ledger kind of a raised job: a SegBusError repeats on every retry."""
+    return "model" if isinstance(exc, SegBusError) else "error"
+
+
 def _worker_main(conn) -> None:  # pragma: no cover - runs in worker processes
     """Worker loop: receive a chunk, report one message per job, repeat."""
     while True:
@@ -518,7 +529,7 @@ def _worker_main(conn) -> None:  # pragma: no cover - runs in worker processes
                 message = (
                     index,
                     attempt,
-                    "error",
+                    _failure_kind(exc),
                     (type(exc).__name__, str(exc), tail),
                 )
             else:
@@ -786,7 +797,7 @@ class CampaignExecutor:
             self._stats["crashes"] += 1
         elif kind == "timeout":
             self._stats["timeouts"] += 1
-        if task.attempts >= self.policy.max_attempts:
+        if kind == "model" or task.attempts >= self.policy.max_attempts:
             self._failures[task.index] = JobFailure(
                 label=label,
                 attempts=task.attempts,
@@ -871,7 +882,11 @@ class CampaignExecutor:
                         ]
                     )
                     self._attempt_failed(
-                        task, "error", type(exc).__name__, str(exc), tail
+                        task,
+                        _failure_kind(exc),
+                        type(exc).__name__,
+                        str(exc),
+                        tail,
                     )
                     if task.index in self._failures:
                         break
@@ -1031,7 +1046,7 @@ class CampaignExecutor:
                 error, message, tail = payload
                 task.attempts = attempt - 1  # _attempt_failed adds one
                 self._attempt_failed(
-                    task, "error", error, message, tail, requeue=pending
+                    task, status, error, message, tail, requeue=pending
                 )
 
     def _reap_and_requeue(

@@ -577,7 +577,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_depth=args.queue_depth,
         cache_entries=args.cache_entries,
         cache_bytes=int(args.cache_mb * (1 << 20)),
-        batch_window_s=args.batch_window_ms / 1e3,
         batch_max=args.batch_max,
     )
     service = SegbusService(config)
@@ -1042,12 +1041,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=64.0,
         help="result cache byte cap in MiB (default 64)",
-    )
-    srv.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=5.0,
-        help="micro-batch gathering window in milliseconds (default 5)",
     )
     srv.add_argument(
         "--batch-max",

@@ -1,6 +1,6 @@
 """Coalesce queued emulate jobs into vectorized ``run_batch`` groups.
 
-When the dispatcher drains its micro-batch window and finds several
+When the dispatcher drains a micro-batch and finds several
 batch-engine emulations waiting, running them one executor job at a time
 would waste exactly the lockstep advantage PR 7 built.  This module
 takes those jobs straight into :func:`repro.emulator.batchkernel.run_batch`,
@@ -44,15 +44,27 @@ def batchable(job: ServeJob) -> bool:
     )
 
 
+def _model_failure(job: ServeJob, exc: Exception) -> JobFailure:
+    """The ledger entry of a member whose model the emulator refused."""
+    return JobFailure(
+        label=job.label,
+        attempts=1,
+        kind="model",
+        error=type(exc).__name__,
+        message=str(exc),
+    )
+
+
 def run_emulate_batch(
     jobs: Sequence[ServeJob],
 ) -> List[Tuple[Optional[Dict[str, object]], Optional[JobFailure]]]:
     """Execute eligible emulate jobs as one vectorized batch.
 
     Returns one ``(body, failure)`` pair per job, in input order —
-    exactly one of the two is set.  A member that fails (deadlock, fault
-    exhaustion) becomes a structured :class:`JobFailure` without
-    poisoning its siblings, mirroring the executor's ledger shape.
+    exactly one of the two is set.  A member that fails (a graph the
+    emulator refuses, deadlock, fault exhaustion) becomes a structured
+    :class:`JobFailure` of kind ``"model"`` without poisoning its
+    siblings, mirroring the executor's ledger shape.
     """
     from repro.emulator.batchkernel import BatchMember, run_batch
     from repro.emulator.emulator import SegBusEmulator
@@ -60,17 +72,25 @@ def run_emulate_batch(
     from repro.serve.jobs import RESPONSE_SCHEMA_VERSION, cache_key
     from repro.xmlio.faults_xml import parse_fault_plan_xml
 
+    out: List[Tuple[Optional[Dict[str, object]], Optional[JobFailure]]] = [
+        (None, None)
+    ] * len(jobs)
     members: List[BatchMember] = []
-    for job in jobs:
-        emulator = SegBusEmulator(
-            job.psdf_xml or "",
-            job.psm_xml or "",
-            fault_plan=(
-                parse_fault_plan_xml(job.fault_plan_xml)
-                if job.fault_plan_xml is not None
-                else None
-            ),
-        )
+    positions: List[int] = []
+    for position, job in enumerate(jobs):
+        try:
+            emulator = SegBusEmulator(
+                job.psdf_xml or "",
+                job.psm_xml or "",
+                fault_plan=(
+                    parse_fault_plan_xml(job.fault_plan_xml)
+                    if job.fault_plan_xml is not None
+                    else None
+                ),
+            )
+        except SegBusError as exc:
+            out[position] = (None, _model_failure(job, exc))
+            continue
         members.append(
             BatchMember(
                 label=job.label,
@@ -80,37 +100,22 @@ def run_emulate_batch(
                 fault_plan=emulator.fault_plan,
             )
         )
+        positions.append(position)
     try:
         run = run_batch(members)
     except SegBusError as exc:
-        # a whole-batch failure (not per-member) fails every job alike
-        failure = lambda job: JobFailure(  # noqa: E731 - local shape helper
-            label=job.label,
-            attempts=1,
-            kind="error",
-            error=type(exc).__name__,
-            message=str(exc),
-        )
-        return [(None, failure(job)) for job in jobs]
+        # a whole-batch failure (not per-member) fails every member alike
+        for position in positions:
+            out[position] = (None, _model_failure(jobs[position], exc))
+        return out
 
-    out: List[Tuple[Optional[Dict[str, object]], Optional[JobFailure]]] = []
-    for job, outcome in zip(jobs, run.outcomes):
-        if outcome.error is not None or outcome.report is None:
-            error = outcome.error
-            out.append(
-                (
-                    None,
-                    JobFailure(
-                        label=job.label,
-                        attempts=1,
-                        kind="error",
-                        error=type(error).__name__ if error else "SegBusError",
-                        message=str(error) if error else "no report produced",
-                    ),
-                )
-            )
+    for position, outcome in zip(positions, run.outcomes):
+        job = jobs[position]
+        if outcome.error is not None:
+            out[position] = (None, _model_failure(job, outcome.error))
             continue
         report = outcome.report
+        assert report is not None  # an outcome holds a report or an error
         body: Dict[str, object] = {
             "kind": "emulate",
             "engine": job.engine,
@@ -120,5 +125,5 @@ def run_emulate_batch(
             "schema": RESPONSE_SCHEMA_VERSION,
             "key": cache_key(job),
         }
-        out.append((body, None))
+        out[position] = (body, None)
     return out

@@ -351,33 +351,10 @@ def _multimode_estimate_dict(
 
 
 def _execute_emulate(job: ServeJob) -> Dict[str, object]:
-    application, platform, is_multimode = _load_models(job)
-    if is_multimode:
-        from repro.emulator.multimode import run_multimode
-        from repro.errors import LintError
+    from repro.emulator.emulator import SegBusEmulator
 
-        if job.strict:
-            from repro.lint import lint_multimode
-
-            report = lint_multimode(application, platform=platform)
-            if report.errors:
-                raise LintError(
-                    [f.format() for f in report.errors], report=report
-                )
-        mm = run_multimode(application, platform, engine=job.engine)
-        return {
-            "kind": "emulate",
-            "engine": job.engine,
-            "multimode": True,
-            "result": mm.to_dict(),
-            "digest": mm.digest(),
-        }
-    if job.workload is not None:
-        from repro.emulator.emulator import SegBusEmulator
-
-        emulator = SegBusEmulator.from_models(application, platform)
-    else:
-        from repro.emulator.emulator import SegBusEmulator
+    if job.workload is None:
+        # the emulator parses the inline schemes itself: parse them once
         from repro.xmlio.faults_xml import parse_fault_plan_xml
 
         fault_plan = (
@@ -388,6 +365,29 @@ def _execute_emulate(job: ServeJob) -> Dict[str, object]:
         emulator = SegBusEmulator(
             job.psdf_xml or "", job.psm_xml or "", fault_plan=fault_plan
         )
+    else:
+        application, platform, is_multimode = _load_models(job)
+        if is_multimode:
+            from repro.emulator.multimode import run_multimode
+            from repro.errors import LintError
+
+            if job.strict:
+                from repro.lint import lint_multimode
+
+                report = lint_multimode(application, platform=platform)
+                if report.errors:
+                    raise LintError(
+                        [f.format() for f in report.errors], report=report
+                    )
+            mm = run_multimode(application, platform, engine=job.engine)
+            return {
+                "kind": "emulate",
+                "engine": job.engine,
+                "multimode": True,
+                "result": mm.to_dict(),
+                "digest": mm.digest(),
+            }
+        emulator = SegBusEmulator.from_models(application, platform)
     report = emulator.run(strict=job.strict, engine=job.engine)
     return {
         "kind": "emulate",

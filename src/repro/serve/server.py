@@ -6,7 +6,7 @@ the socket backlog, is the concurrency limiter.  Endpoints:
 
 ``POST /v1/jobs``
     One job object, or ``{"jobs": [...]}`` for a client-side batch.
-    Single jobs answer with the job's own status (200/400/429/500/504)
+    Single jobs answer with the job's own status (200/400/422/429/500/504)
     and the deterministic body bytes; the cache disposition and latency
     travel in ``X-Segbus-Cache`` / ``X-Segbus-Elapsed-Ms`` headers so a
     hit's body stays byte-identical to the miss that populated it.
@@ -174,9 +174,9 @@ class _Handler(BaseHTTPRequestHandler):
                     },
                 )
                 return
-            # admit everything first so compatible jobs can coalesce into
-            # one dispatcher micro-batch, then wait for all of them
-            tickets = [self.service.submit_async(job) for job in jobs]
+            # one admission for the whole batch: its members enter the
+            # queue together and share a dispatcher micro-batch
+            tickets = self.service.admit(jobs)
             responses = []
             for ticket in tickets:
                 ticket.event.wait(self.service.config.request_timeout_s)

@@ -17,13 +17,19 @@ One request's life:
 4. Otherwise the job deep-validates against the XML loaders (400), and
    enters the bounded admission queue; when the queue is full the
    request is shed with a deterministic 429 + Retry-After.
-5. The dispatcher thread drains a micro-batch (``batch_window_s`` /
-   ``batch_max``): batch-engine emulations coalesce into one vectorized
-   ``run_batch`` group (:mod:`repro.serve.batcher`), everything else
-   runs through the persistent :class:`CampaignExecutor` pool with
-   per-job timeouts and retries.
+5. The dispatcher thread wakes on every admission and drains whatever
+   is queued, up to ``batch_max`` jobs, at once: batch-engine
+   emulations coalesce into one vectorized ``run_batch`` group
+   (:mod:`repro.serve.batcher`), everything else runs through the
+   persistent :class:`CampaignExecutor` pool with per-job timeouts and
+   retries.  A client batch (:meth:`SegbusService.admit` with several
+   payloads) enters the queue in one step, so its members share a
+   micro-batch by construction rather than by timing.
 6. Fulfilment caches the canonical response bytes and wakes every
-   waiter.  Exhausted jobs produce a structured 500 carrying the
+   waiter.  A job whose model the loaders accepted but the emulator or
+   the strict lint gate refused (a :class:`SegBusError`) answers 422
+   ``model-error``; exhausted jobs (crashes, timeouts, other
+   exceptions) produce a structured 500.  Both carry the
    :class:`JobFailure` ledger; failures are never cached.
 
 Nondeterministic facts (latency, cache disposition) live in the
@@ -38,7 +44,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.analysis.executor import (
     CampaignExecutor,
@@ -75,8 +81,6 @@ class ServiceConfig:
     #: result-cache caps
     cache_entries: int = 1024
     cache_bytes: int = 64 << 20
-    #: micro-batch window: how long the dispatcher lingers for companions
-    batch_window_s: float = 0.005
     #: micro-batch size cap
     batch_max: int = 32
     #: how long a request thread waits for its result before 504
@@ -254,62 +258,83 @@ class SegbusService:
     # -- submission ---------------------------------------------------------
 
     def submit_async(self, payload: object) -> _Ticket:
-        """Admit a payload; the returned ticket resolves to its response.
+        """Admit one payload: the one-member case of :meth:`admit`."""
+        return self.admit([payload])[0]
 
-        Never raises: schema/validation failures, cache hits and shed
-        requests come back as already-resolved tickets.
+    def admit(self, payloads: Sequence[object]) -> List[_Ticket]:
+        """Admit payloads together; one ticket per payload, in order.
+
+        Every member is parsed and deep-validated before any is queued;
+        the survivors then enter the queue in one lock section with one
+        dispatcher wake-up, so a client batch's members always share a
+        micro-batch (up to ``batch_max``).  Never raises: schema and
+        validation failures, cache hits and shed requests come back as
+        already-resolved tickets.
         """
+        tickets = [self._parse(payload) for payload in payloads]
+        with self._lock:
+            fresh = [
+                t for t in tickets
+                if t.job is not None and not self._settle(t, self.cache.get)
+            ]
+        # deep validation only on the path that will actually compute —
+        # a key that ever produced a cached body has validated before
+        admitted: List[_Ticket] = []
+        for ticket in fresh:
+            try:
+                validate_job(self._job_of(ticket))
+            except JobValidationError as exc:
+                ticket.role = "rejected"
+                ticket.resolve_error(400, _error_bytes("invalid", exc.detail))
+            else:
+                admitted.append(ticket)
+        queued = False
+        with self._lock:
+            for ticket in admitted:
+                # re-check under the lock: another thread (or an earlier
+                # member of this batch) may have admitted or even
+                # fulfilled this key while we were validating
+                if not self._settle(ticket, self.cache.peek):
+                    self._inflight[ticket.key] = ticket
+                    self._queue.append(ticket)
+                    queued = True
+        if queued:
+            self._wake.set()
+        return tickets
+
+    def _parse(self, payload: object) -> _Ticket:
+        """A ticket carrying the parsed job, or resolved as a 400."""
         try:
             job = parse_job(payload, default_engine=self.config.engine)
         except JobValidationError as exc:
             ticket = _Ticket("", None)
             ticket.role = "rejected"
-            ticket.resolve_error(
-                400, _error_bytes("invalid", exc.detail)
-            )
-            return ticket
-        key = cache_key(job)
-        ticket = _Ticket(key, job)
-        with self._lock:
-            cached = self.cache.get(key)
-            if cached is not None:
-                ticket.role = "hit"
-                ticket.resolve_ok(cached)
-                return ticket
-            inflight = self._inflight.get(key)
-            if inflight is not None:
-                ticket.role = "coalesced"
-                inflight.followers.append(ticket)
-                return ticket
-            if len(self._queue) >= self.config.queue_depth:
-                return self._shed(ticket)
-        # deep validation only on the path that will actually compute —
-        # a key that ever produced a cached body has validated before
-        try:
-            validate_job(job)
-        except JobValidationError as exc:
-            ticket.role = "rejected"
             ticket.resolve_error(400, _error_bytes("invalid", exc.detail))
             return ticket
-        with self._lock:
-            # re-check under the lock: another thread may have admitted
-            # or even fulfilled this key while we were validating
-            cached = self.cache.peek(key)
-            if cached is not None:
-                ticket.role = "hit"
-                ticket.resolve_ok(cached)
-                return ticket
-            inflight = self._inflight.get(key)
-            if inflight is not None:
-                ticket.role = "coalesced"
-                inflight.followers.append(ticket)
-                return ticket
-            if len(self._queue) >= self.config.queue_depth:
-                return self._shed(ticket)
-            self._inflight[key] = ticket
-            self._queue.append(ticket)
-        self._wake.set()
-        return ticket
+        return _Ticket(cache_key(job), job)
+
+    def _settle(
+        self, ticket: _Ticket, lookup: Callable[[str], Optional[bytes]]
+    ) -> bool:
+        """Resolve a ticket without queueing it, if it can be (lock held).
+
+        A cached key is a hit, an in-flight key coalesces, and a full
+        queue sheds; anything else returns False and needs computing.
+        """
+        cached = lookup(ticket.key)
+        if cached is not None:
+            ticket.role = "hit"
+            ticket.resolve_ok(cached)
+            return True
+        inflight = self._inflight.get(ticket.key)
+        if inflight is not None:
+            ticket.role = "coalesced"
+            inflight.followers.append(ticket)
+            return True
+        if len(self._queue) >= self.config.queue_depth:
+            self._shed(ticket)
+            return True
+        return False
 
     def _shed(self, ticket: _Ticket) -> _Ticket:
         """Resolve a ticket as shed: deterministic 429 + Retry-After."""
@@ -379,19 +404,13 @@ class SegbusService:
     # -- dispatching --------------------------------------------------------
 
     def _dispatch_loop(self) -> None:
+        # no lost wake-ups: the event is cleared only under the lock with
+        # the queue empty, and every append is followed by a set()
         while True:
-            self._wake.wait(timeout=0.1)
+            self._wake.wait()
             with self._lock:
                 if not self._running:
                     return
-                if not self._queue:
-                    self._wake.clear()
-                    continue
-            # linger for companions: the window is what lets unrelated
-            # batch-engine requests land in one vectorized group
-            if self.config.batch_window_s > 0:
-                time.sleep(self.config.batch_window_s)
-            with self._lock:
                 batch: List[_Ticket] = []
                 while self._queue and len(batch) < self.config.batch_max:
                     batch.append(self._queue.popleft())
@@ -468,7 +487,7 @@ class SegbusService:
         with self._lock:
             self.cache.put(ticket.key, body)
             self._inflight.pop(ticket.key, None)
-            followers = list(getattr(ticket, "followers", ()))
+            followers = list(ticket.followers)
         ticket.resolve_ok(body)
         for follower in followers:
             follower.resolve_ok(body)
@@ -480,17 +499,21 @@ class SegbusService:
         message = (
             ledger[0]["message"] if ledger else "job failed without a ledger"
         )
-        body = _error_bytes(
-            "job-failed", str(message), failures=ledger
-        )
+        # a model the emulator refused (a SegBusError, never retried) is
+        # the client's to fix: 422; anything else exhausted is ours: 500
+        if ledger and all(entry["kind"] == "model" for entry in ledger):
+            status, kind = 422, "model-error"
+        else:
+            status, kind = 500, "job-failed"
+        body = _error_bytes(kind, str(message), failures=ledger)
         with self._lock:
             # failures are never cached: a transient crash must not be
             # replayed to every future request for the same model
             self._inflight.pop(ticket.key, None)
-            followers = list(getattr(ticket, "followers", ()))
-        ticket.resolve_error(500, body)
+            followers = list(ticket.followers)
+        ticket.resolve_error(status, body)
         for follower in followers:
-            follower.resolve_error(500, body)
+            follower.resolve_error(status, body)
 
     # -- introspection ------------------------------------------------------
 
@@ -532,6 +555,5 @@ class SegbusService:
                 "workers": self.config.workers,
                 "queue_depth": self.config.queue_depth,
                 "batch_max": self.config.batch_max,
-                "batch_window_s": self.config.batch_window_s,
             },
         }

@@ -24,9 +24,15 @@ from repro.analysis.executor import (
     canonical_digest,
     execute_batch,
 )
+from repro.errors import SegBusError
 from repro.testing.chaos import ChaosPlan, ChaosPoisonError, ProbeJob, run_probe
 
 PARALLEL = dict(workers=2, serial_threshold=1)
+
+
+def refuse_model(job):
+    """A runner whose job always raises a model error (a SegBusError)."""
+    raise SegBusError(f"model {job.label} is refused")
 
 
 def probe_jobs(count: int):
@@ -91,6 +97,25 @@ class TestFailurePaths:
         assert failure.error == "ValueError"
         assert "always fails" in failure.message
         assert failure.traceback_tail
+
+    @pytest.mark.parametrize(
+        "scheduling", [dict(workers=1), PARALLEL], ids=["serial", "parallel"]
+    )
+    def test_model_error_is_ledgered_without_retry(self, scheduling):
+        # a SegBusError is deterministic: a retry would fail the same way
+        batch = execute_batch(
+            [ProbeJob("bad")],
+            refuse_model,
+            policy=ExecutorPolicy(max_attempts=3),
+            **scheduling,
+        )
+        (failure,) = batch.failures
+        assert (failure.label, failure.kind, failure.attempts) == (
+            "bad", "model", 1
+        )
+        assert failure.error == "SegBusError"
+        assert "is refused" in failure.message
+        assert (batch.stats.attempts, batch.stats.retries) == (1, 0)
 
     def test_job_error_carries_structure(self):
         jobs = [ProbeJob("ok"), ProbeJob("bad_a", fail=True), ProbeJob("bad_b", fail=True)]

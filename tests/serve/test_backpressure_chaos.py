@@ -12,6 +12,8 @@ import http.client
 import json
 import threading
 
+import pytest
+
 from repro.serve.jobs import cache_key, execute_job, parse_job, response_bytes
 from repro.serve.server import create_server
 from repro.testing.chaos import ChaosPlan
@@ -24,6 +26,14 @@ def _emulate_payload(schemes, **extra):
 
 def _label(payload) -> str:
     return parse_job(payload).label
+
+
+def _swap_transfer(schemes, old, new):
+    """The schemes with one PSDF transfer element renamed."""
+    psdf_xml, psm_xml = schemes
+    broken = psdf_xml.replace(f'name="{old}"', f'name="{new}"')
+    assert broken != psdf_xml
+    return broken, psm_xml
 
 
 class TestBackpressure:
@@ -152,3 +162,53 @@ class TestChaos:
         assert follower.event.wait(60)
         assert owner.failure_status == follower.failure_status == 500
         assert owner.failure_body == follower.failure_body
+
+
+class TestModelErrors:
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "parallel"])
+    def test_strict_lint_refusal_is_a_422_without_retries(
+        self, service_factory, inline_schemes, inline_schemes_1seg, workers
+    ):
+        # P1 now receives at T=5 but transmits at T=3: parseable, so
+        # admission accepts it, but the strict gate refuses it (SB208)
+        inverted = _swap_transfer(
+            inline_schemes, "P1_576_1_250", "P1_576_5_250"
+        )
+        payload = _emulate_payload(inverted, strict=True)
+        service = service_factory(workers=workers)
+        response = service.submit(payload)
+        assert (response.status, response.cache) == (422, "failed")
+        error = json.loads(response.body)["error"]
+        assert error["kind"] == "model-error"
+        assert "SB208" in error["message"]
+        (entry,) = error["failures"]
+        assert (entry["kind"], entry["error"], entry["attempts"]) == (
+            "model", "LintError", 1
+        )
+        executor = service.stats()["executor"]
+        assert (executor["attempts"], executor["retries"]) == (1, 0)
+        assert service.cache.peek(cache_key(parse_job(payload))) is None
+        healthy = service.submit(_emulate_payload(inline_schemes_1seg))
+        assert (healthy.status, healthy.cache) == (200, "miss")
+
+    def test_vectorized_member_model_error_spares_its_siblings(
+        self, service_factory, inline_schemes
+    ):
+        # P7 -> P6 closes a cycle: the emulator refuses the graph
+        cyclic = _swap_transfer(
+            inline_schemes, "P14_576_13_320", "P6_576_13_320"
+        )
+        bad = _emulate_payload(cyclic, engine="batch")
+        good = _emulate_payload(inline_schemes, engine="batch")
+        service = service_factory()
+        bad_ticket, good_ticket = service.admit([bad, good])
+        assert bad_ticket.event.wait(60) and good_ticket.event.wait(60)
+        assert bad_ticket.failure_status == 422
+        error = json.loads(bad_ticket.failure_body)["error"]
+        assert error["kind"] == "model-error"
+        assert error["failures"][0]["error"] == "PSDFError"
+        assert good_ticket.body == response_bytes(execute_job(parse_job(good)))
+        stats = service.stats()
+        assert stats["dispatch_batches"] == 1
+        assert stats["vectorized_groups"] == 1
+        assert stats["cache"]["entries"] == 1

@@ -261,5 +261,34 @@ class TestExecuteJob:
         second = response_bytes(execute_job(parse_job(payload)))
         assert first == second
 
+    @pytest.mark.parametrize("kind", ["emulate", "estimate", "lint"])
+    def test_inline_job_parses_each_scheme_once(
+        self, kind, inline_schemes, monkeypatch
+    ):
+        import repro.emulator.emulator as emulator_module
+        import repro.xmlio.psdf_parser as psdf_parser
+        import repro.xmlio.psm_parser as psm_parser
+
+        calls = {"psdf": 0, "psm": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        psdf = counting("psdf", psdf_parser.parse_psdf_xml)
+        psm = counting("psm", psm_parser.parse_psm_xml)
+        for module in (psdf_parser, emulator_module):
+            monkeypatch.setattr(module, "parse_psdf_xml", psdf)
+        for module in (psm_parser, emulator_module):
+            monkeypatch.setattr(module, "parse_psm_xml", psm)
+        psdf_xml, psm_xml = inline_schemes
+        execute_job(
+            parse_job({"kind": kind, "psdf_xml": psdf_xml, "psm_xml": psm_xml})
+        )
+        assert calls == {"psdf": 1, "psm": 1}
+
     def test_job_kinds_constant_is_the_full_dispatch_surface(self):
         assert JOB_KINDS == ("emulate", "estimate", "lint", "selftest")

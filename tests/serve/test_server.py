@@ -8,12 +8,18 @@ import threading
 
 import pytest
 
+from repro.apps.mp3 import mp3_decoder_psdf, paper_platform
+from repro.faults.model import FaultPlan, FaultRecord
+from repro.serve.jobs import execute_job, parse_job, response_bytes
 from repro.serve.server import MAX_BODY_BYTES, create_server
+from repro.xmlio.faults_xml import fault_plan_to_xml
+from repro.xmlio.psdf_writer import psdf_to_xml
+from repro.xmlio.psm_writer import psm_to_xml
 
 
 @pytest.fixture
 def http_server(service_factory):
-    service = service_factory(batch_window_s=0.0)
+    service = service_factory()
     server = create_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -132,3 +138,44 @@ class TestJobRequests:
         )
         assert status == 400
         assert "array" in json.loads(data)["error"]["message"]
+
+
+class TestClientBatchCoalescing:
+    def test_client_batch_is_one_vectorized_micro_batch(self, http_server):
+        # 16 batch-engine emulations of one model with distinct low-rate
+        # fault plans: admitted together, they must dispatch together
+        platform = paper_platform(segment_count=3)
+        psdf_xml = psdf_to_xml(mp3_decoder_psdf(), platform.package_size)
+        psm_xml = psm_to_xml(platform)
+        payloads = [
+            {
+                "kind": "emulate",
+                "engine": "batch",
+                "psdf_xml": psdf_xml,
+                "psm_xml": psm_xml,
+                "fault_plan_xml": fault_plan_to_xml(
+                    FaultPlan(
+                        seed=seed,
+                        records=(
+                            FaultRecord(
+                                site="*", kind="package_corruption", rate=1e-3
+                            ),
+                        ),
+                    )
+                ),
+            }
+            for seed in range(1, 17)
+        ]
+        body = json.dumps({"jobs": payloads})
+        status, _, data = _request(http_server, "POST", "/v1/jobs", body=body)
+        assert status == 200
+        stats = http_server.service.stats()
+        assert stats["dispatch_batches"] == 1
+        assert stats["vectorized_groups"] == 1
+        responses = json.loads(data)["responses"]
+        assert len(responses) == len(payloads)
+        for payload, response in zip(payloads, responses):
+            assert (response["status"], response["cache"]) == (200, "miss")
+            assert response_bytes(response["body"]) == response_bytes(
+                execute_job(parse_job(payload))
+            )

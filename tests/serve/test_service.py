@@ -91,7 +91,7 @@ class TestBatching:
     def test_batch_engine_jobs_coalesce_into_one_group(
         self, service_factory, inline_schemes, inline_schemes_1seg
     ):
-        service = service_factory(auto_start=False, batch_window_s=0.01)
+        service = service_factory(auto_start=False)
         payloads = [
             _emulate_payload(inline_schemes, engine="batch"),
             _emulate_payload(inline_schemes_1seg, engine="batch"),
@@ -112,7 +112,7 @@ class TestBatching:
     def test_mixed_batch_keeps_per_job_path_for_the_rest(
         self, service_factory, inline_schemes, inline_schemes_1seg
     ):
-        service = service_factory(auto_start=False, batch_window_s=0.01)
+        service = service_factory(auto_start=False)
         vector = _emulate_payload(inline_schemes, engine="batch")
         plain = _emulate_payload(inline_schemes_1seg, engine="fast")
         tickets = [service.submit_async(vector), service.submit_async(plain)]
