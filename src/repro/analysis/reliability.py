@@ -229,13 +229,14 @@ def _vectorized_sweep(
     config: Optional[EmulationConfig],
     stall_ticks: int,
 ) -> Tuple[float, Dict[str, Dict[str, object]]]:
-    """Run the whole (rate, seed) grid as one lockstep mega-batch.
+    """Run the whole (rate, seed) grid as one ``run_batch`` mega-batch.
 
     One model construction is shared by every point, the batch kernel
     groups the grid into a single compatibility group, and low-rate
     members whose fault streams provably never fire are cloned from the
     group's reference run instead of being re-simulated — this is where
     the sweep's aggregate-throughput win comes from on a single core.
+    The remaining members run on the fast kernel one after another.
     The fault-free baseline rides along as the first member (under the
     *default* retry policy, exactly like the executor path's baseline).
     A member whose emulation raises :class:`~repro.errors.SegBusError`
@@ -309,7 +310,7 @@ def reliability_sweep(
 
     ``engine`` picks the simulation kernel (default honours
     ``SEGBUS_ENGINE``).  With the ``batch`` engine and no checkpointing,
-    the whole grid runs as *one* vectorized lockstep batch
+    the whole grid runs as *one* batch
     (:func:`repro.emulator.batchkernel.run_batch`) instead of N
     process-pool jobs; the aggregated curve is byte-identical to the
     per-job path because every engine is tick-for-tick equivalent

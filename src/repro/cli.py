@@ -699,7 +699,7 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
         default=None,
         choices=list(ENGINE_NAMES),
         help="simulation kernel: 'stepped' (cycle-stepped reference), "
-        "'fast' (event-driven) or 'batch' (vectorized lockstep batches), "
+        "'fast' (event-driven) or 'batch' (fast kernel, batched sweeps), "
         "all tick-for-tick equivalent; default honours SEGBUS_ENGINE "
         "(see docs/PERFORMANCE.md). For bench, omitting it times every "
         "engine and records the speedups.",

@@ -1,4 +1,4 @@
-"""The lockstep mega-batch engine: many instances, one vectorized call.
+"""The batch engine: many instances, one call.
 
 Monte Carlo workloads — reliability sweeps, ``segbus selftest``, design
 space exploration — run *populations* of independent emulations that
@@ -6,14 +6,9 @@ share almost everything: the application graph, the platform spec, the
 config and the retry policy, differing only in their fault plans (seed
 and rate).  Running each instance as its own process-pool job re-pays
 the same construction cost per run and leaves nothing for the engines to
-share.  :func:`run_batch` instead simulates the whole population in one
-call, in lockstep, over struct-of-arrays numpy state:
+share.  :func:`run_batch` instead takes the whole population in one
+call:
 
-* **SoA scheduling state** — :class:`LockstepBatch` keeps per-instance
-  ``frontier_fs`` (next event time), ``alive`` and ``executed`` arrays
-  and always advances the *laggard* instance by one bounded event chunk,
-  so the population moves through simulated time together and a single
-  runaway instance cannot starve its siblings.
 * **Shared construction** — instances are grouped by a compatibility
   digest (application, spec, config, retry policy); exact-duplicate
   instances (same fault plan too) are deduplicated onto one simulation.
@@ -28,15 +23,15 @@ call, in lockstep, over struct-of-arrays numpy state:
   most of the population rides this path, which is where the order-of-
   magnitude aggregate throughput over the stepped engine comes from
   (see docs/PERFORMANCE.md).
+* **Everything else** runs on the fast kernel's own ``run()``, one
+  member after another.
 
 **Equivalence contract.**  Per-instance observables are byte-identical
-to the stepped kernel: :class:`BatchSimulation` is the fast kernel
-drained through the same chunked scheduler multi-instance batches use
-(identical loop semantics, budgets and stall diagnostics), and the
-zero-hit clone is only taken when the predraw *proves* the instance
-cannot diverge from the reference.  The contract is enforced by the
-three-engine ENG-1 oracle, the Hypothesis differential suite and the
-golden-trace store, like the fast engine before it.
+to the stepped kernel: :class:`BatchSimulation` *is* the fast kernel,
+and the zero-hit clone is only taken when the predraw *proves* the
+instance cannot diverge from the reference.  The contract is enforced
+by the three-engine ENG-1 oracle, the Hypothesis differential suite and
+the golden-trace store, like the fast engine before it.
 
 An instance that deadlocks or exhausts a budget mid-batch surfaces as
 that instance's error without poisoning its siblings; infrastructure
@@ -49,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # numpy accelerates the SoA state + predraw; pure Python works too
+try:  # numpy vectorizes the fault predraw; pure Python works too
     import numpy as _np
 except ImportError:  # pragma: no cover - the image bakes numpy in
     _np = None
@@ -58,7 +53,7 @@ from repro.emulator.config import EmulationConfig
 from repro.emulator.fastkernel import FastSimulation
 from repro.emulator.kernel import PlatformSpec, Simulation
 from repro.emulator.report import EmulationReport, build_report
-from repro.errors import SegBusError, StallError
+from repro.errors import SegBusError
 from repro.faults.model import (
     KIND_BU_DROP,
     KIND_CORRUPTION,
@@ -69,16 +64,6 @@ from repro.faults.model import (
 from repro.faults.policy import RetryPolicy
 from repro.faults.prng import DeterministicStream, stream_state
 from repro.psdf.graph import PSDFGraph
-
-try:  # heapq symbols match the fast kernel's inlined loop
-    from heapq import heappop
-except ImportError:  # pragma: no cover - stdlib
-    raise
-
-#: events per lockstep chunk: small enough that the laggard scheduler
-#: interleaves instances through simulated time, large enough that the
-#: per-chunk bookkeeping vanishes against the ~1 us/event loop cost
-DEFAULT_CHUNK_EVENTS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -253,184 +238,23 @@ def record_draws(plan: FaultPlan,
 
 
 # ---------------------------------------------------------------------------
-# the batch engine: the fast kernel drained through a chunked scheduler
+# the batch engine's simulation class: the fast kernel itself
 # ---------------------------------------------------------------------------
 
 
 class BatchSimulation(FastSimulation):
-    """The fast kernel with an incremental drain API for lockstep batches.
+    """The ``batch`` engine for a single run: exactly the fast kernel.
 
-    A standalone ``run()`` routes through the same prepare/drain/finish
-    steps a multi-instance batch uses, so every engine-matrix test (the
-    ENG-1 oracle, the goldens, the property suite) exercises the chunked
-    scheduler — not a private fourth code path.
+    ``batch`` changes how *populations* run (:func:`run_batch`), not how
+    one simulation runs.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._drain_executed = 0
-        self._drain_prepared = False
-
-    # -- incremental API ---------------------------------------------------
-
-    def _batch_prepare(self) -> None:
-        """Replicate ``run()``'s pre-loop: initial fires + permanent faults."""
-        if self._drain_prepared:
-            return
-        self._drain_prepared = True
-        for name in self.application.process_names:
-            if self.schedule.inputs_of[name] == 0:
-                self._schedule_fire(name, 0)
-        self._schedule_permanent_failures()
-
-    def _batch_drain(self, limit: int) -> int:
-        """Execute up to ``limit`` events with the one-shot loop's semantics.
-
-        Returns the femtosecond time of the next live event, or ``-1``
-        when the queue is drained.  Budgets, stall diagnostics, watchdog
-        cadence and the ``queue.executed`` write-back behave exactly like
-        :meth:`FastSimulation._run_loop` — the chunk boundary is
-        observationally invisible.
-        """
-        queue = self.queue
-        heap = queue.heap
-        budget = self.config.max_events
-        horizon_fs = self._ca_period * self.config.max_ticks
-        watchdog = self.watchdog
-        executed = self._drain_executed
-        stop = executed + max(1, limit)
-        pop = heappop
-        try:
-            while heap:
-                entry = pop(heap)
-                if entry[3]:
-                    continue
-                t_fs = entry[0]
-                queue.now_fs = t_fs
-                executed += 1
-                if t_fs > horizon_fs:
-                    raise StallError(
-                        f"tick budget exhausted: simulated time passed "
-                        f"{self.config.max_ticks} CA ticks — model livelock?",
-                        pending=self.pending_work(),
-                        last_progress_tick=self.ca.clock.ticks(
-                            self.last_progress_fs
-                        ),
-                        stalled_elements=self.stalled_elements(),
-                    )
-                entry[4]()
-                if executed >= budget:
-                    raise StallError(
-                        f"event budget exhausted after {budget} events at "
-                        f"t={queue.now_fs} fs — model livelock?",
-                        pending=self.pending_work(),
-                        last_progress_tick=self.ca.clock.ticks(
-                            self.last_progress_fs
-                        ),
-                        stalled_elements=self.stalled_elements(),
-                    )
-                if watchdog is not None:
-                    queue.executed = executed
-                    watchdog.observe(self)
-                if executed >= stop:
-                    break
-        finally:
-            queue.executed = executed
-            self._drain_executed = executed
-        while heap and heap[0][3]:
-            pop(heap)
-        return heap[0][0] if heap else -1
-
-    def _batch_finish(self) -> None:
-        """Replicate ``run()``'s post-loop: validation and counter finalize."""
-        self._finished = True
-        if self.failed_elements or self._abandoned:
-            self._finalize_degraded()
-        else:
-            self._validate_final_state()
-        self._finalize_counters()
-
-    # -- standalone run ----------------------------------------------------
-
-    def run(self) -> "BatchSimulation":
-        if self._finished:
-            return self
-        self._batch_prepare()
-        while self._batch_drain(DEFAULT_CHUNK_EVENTS) >= 0:
-            pass
-        self._batch_finish()
-        return self
-
-
-class LockstepBatch:
-    """Advance a population of simulations through time together.
-
-    Struct-of-arrays state (numpy when available): per-instance event
-    frontier, liveness and executed-event counters.  Each step picks the
-    laggard — the live instance with the earliest next event — and
-    drains it one chunk, so the population's simulated-time frontiers
-    stay within a chunk of each other and memory for finished instances
-    is released as early as possible.  A :class:`~repro.errors.SegBusError`
-    (deadlock, stall, retry exhaustion) is captured as that instance's
-    error; any other exception propagates.
-    """
-
-    def __init__(self, sims: Sequence[BatchSimulation],
-                 chunk_events: int = DEFAULT_CHUNK_EVENTS) -> None:
-        self.sims = list(sims)
-        self.chunk_events = max(1, chunk_events)
-        n = len(self.sims)
-        if _np is not None:
-            self.frontier_fs = _np.zeros(n, dtype=_np.int64)
-            self.alive = _np.ones(n, dtype=bool)
-            self.executed = _np.zeros(n, dtype=_np.int64)
-        else:  # pragma: no cover - numpy is available in the image
-            self.frontier_fs = [0] * n
-            self.alive = [True] * n
-            self.executed = [0] * n
-        self.errors: List[Optional[SegBusError]] = [None] * n
-
-    def _laggard(self) -> int:
-        if _np is not None:
-            frontiers = _np.where(
-                self.alive, self.frontier_fs, _np.iinfo(_np.int64).max
-            )
-            return int(frontiers.argmin())
-        best, best_fs = -1, None  # pragma: no cover - numpy fallback
-        for i, live in enumerate(self.alive):
-            if live and (best_fs is None or self.frontier_fs[i] < best_fs):
-                best, best_fs = i, self.frontier_fs[i]
-        return best
-
-    def drain(self) -> List[Optional[SegBusError]]:
-        """Run every instance to completion; per-instance errors, in order."""
-        for sim in self.sims:
-            sim._batch_prepare()
-        alive_count = len(self.sims)
-        while alive_count:
-            index = self._laggard()
-            sim = self.sims[index]
-            try:
-                next_fs = sim._batch_drain(self.chunk_events)
-                if next_fs < 0:
-                    sim._batch_finish()
-            except SegBusError as exc:
-                self.errors[index] = exc
-                self.alive[index] = False
-                self.executed[index] = sim.queue.executed
-                alive_count -= 1
-                continue
-            self.executed[index] = sim.queue.executed
-            if next_fs < 0:
-                self.alive[index] = False
-                alive_count -= 1
-            else:
-                self.frontier_fs[index] = next_fs
-        return self.errors
+    # own ``run`` in the class dict: benchmark tracing wraps it by name
+    run = FastSimulation.run
 
 
 # ---------------------------------------------------------------------------
-# the public batch API: group, dedup, classify, lockstep
+# the public batch API: group, dedup, classify, run the rest
 # ---------------------------------------------------------------------------
 
 
@@ -555,48 +379,59 @@ def _classify_zero_hit(
     return verdict
 
 
-def _simulate_members(members: List[BatchMember], indices: List[int],
-                      group: int, chunk_events: int,
-                      outcomes: List[Optional[BatchMemberOutcome]]) -> int:
-    """Lockstep-run the given member indices; returns how many ran."""
-    sims = [
-        BatchSimulation(
-            members[i].application,
-            members[i].spec,
-            members[i].config,
-            fault_plan=members[i].fault_plan,
-            retry_policy=members[i].retry_policy,
-        )
-        for i in indices
-    ]
-    errors = LockstepBatch(sims, chunk_events).drain()
-    for i, sim, error in zip(indices, sims, errors):
-        if error is not None:
-            outcomes[i] = BatchMemberOutcome(
-                label=members[i].label, error=error, group=group
+class LockstepBatch:
+    """Run members one after another on the fast kernel's own ``run()``.
+
+    A :class:`~repro.errors.SegBusError` (deadlock, stall, retry
+    exhaustion) is captured as that member's outcome; any other
+    exception propagates.
+    """
+
+    # name and ``drain`` kept: benchmark tracing wraps LockstepBatch.drain
+
+    def __init__(self, members: Sequence[BatchMember], group: int) -> None:
+        self.members = list(members)
+        self.group = group
+
+    def drain(self) -> List[BatchMemberOutcome]:
+        """Run every member to completion; outcomes in member order."""
+        outcomes = []
+        for member in self.members:
+            sim = BatchSimulation(
+                member.application,
+                member.spec,
+                member.config,
+                fault_plan=member.fault_plan,
+                retry_policy=member.retry_policy,
             )
-        else:
-            outcomes[i] = BatchMemberOutcome(
-                label=members[i].label,
-                sim=sim,
-                report=build_report(sim),
-                group=group,
-            )
-    return len(indices)
+            try:
+                sim.run()
+            except SegBusError as exc:
+                outcome = BatchMemberOutcome(
+                    label=member.label, error=exc, group=self.group
+                )
+            else:
+                outcome = BatchMemberOutcome(
+                    label=member.label,
+                    sim=sim,
+                    report=build_report(sim),
+                    group=self.group,
+                )
+            outcomes.append(outcome)
+        return outcomes
 
 
-def run_batch(members: Sequence[BatchMember],
-              chunk_events: int = DEFAULT_CHUNK_EVENTS) -> BatchRun:
-    """Simulate a population of instances in one vectorized call.
+def run_batch(members: Sequence[BatchMember]) -> BatchRun:
+    """Simulate a population of instances in one call.
 
     Instances are grouped by compatibility (application, spec, config,
-    retry policy); heterogeneous batches simply fall back to one lockstep
-    run per group.  Within a group, exact duplicates are deduplicated,
-    zero-hit instances clone the group reference (see the module
-    docstring for why that is exact), and everything else runs in
-    lockstep.  Outcomes come back in member order; instance-level
-    failures (:class:`~repro.errors.SegBusError`) are captured per
-    instance and never poison siblings.
+    retry policy); heterogeneous batches are simply handled group by
+    group.  Within a group, exact duplicates are deduplicated, zero-hit
+    instances clone the group reference (see the module docstring for
+    why that is exact), and everything else runs on the fast kernel,
+    one member after another.  Outcomes come back in member order;
+    instance-level failures (:class:`~repro.errors.SegBusError`) are
+    captured per instance and never poison siblings.
     """
     members = list(members)
     outcomes: List[Optional[BatchMemberOutcome]] = [None] * len(members)
@@ -671,9 +506,10 @@ def run_batch(members: Sequence[BatchMember],
             )
             cloned += 1
         if to_run:
-            simulated += _simulate_members(
-                members, to_run, group, chunk_events, outcomes
-            )
+            ran = LockstepBatch([members[i] for i in to_run], group).drain()
+            for i, outcome in zip(to_run, ran):
+                outcomes[i] = outcome
+            simulated += len(to_run)
 
         for i, source in dup_of.items():
             original = outcomes[source]

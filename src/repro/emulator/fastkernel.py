@@ -49,7 +49,7 @@ from repro.emulator.kernel import Simulation
 from repro.errors import EmulationError, SegBusError, StallError
 
 #: the known engine names, in registry order ("batch" resolves lazily —
-#: the lockstep mega-batch kernel lives in repro.emulator.batchkernel)
+#: the fast kernel plus the run_batch strategy, repro.emulator.batchkernel)
 ENGINE_NAMES: Tuple[str, ...] = ("stepped", "fast", "batch")
 
 #: environment variable consulted when no engine is given explicitly

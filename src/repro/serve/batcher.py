@@ -2,11 +2,12 @@
 
 When the dispatcher drains a micro-batch and finds several
 batch-engine emulations waiting, running them one executor job at a time
-would waste exactly the lockstep advantage PR 7 built.  This module
-takes those jobs straight into :func:`repro.emulator.batchkernel.run_batch`,
-which groups compatible members by canonical digest, dedups identical
-plans, clones zero-hit members off one reference run, and drives the
-rest in lockstep — per-member failure isolation included.
+would waste the shared construction and cloning the batch engine
+offers.  This module takes those jobs straight into
+:func:`repro.emulator.batchkernel.run_batch`, which groups compatible
+members by canonical digest, dedups identical plans, clones zero-hit
+members off one reference run, and runs the rest on the fast kernel one
+after another — per-member failure isolation included.
 
 Eligibility (:func:`batchable`) is deliberately conservative:
 

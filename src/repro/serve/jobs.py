@@ -445,7 +445,8 @@ def _execute_lint(job: ServeJob) -> Dict[str, object]:
         if job.psdf_xml is not None:
             from repro.xmlio.psdf_parser import parse_psdf_xml
 
-            application = parse_psdf_xml(job.psdf_xml).to_graph()
+            # the parsed form, not a graph: a cyclic PSDF still lints
+            application = parse_psdf_xml(job.psdf_xml)
         if job.psm_xml is not None:
             from repro.xmlio.psm_parser import parse_psm_xml
 

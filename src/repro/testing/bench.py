@@ -18,9 +18,10 @@ CI without pytest plugins.  Each scenario reports two things:
 
 Emulation scenarios are *engine-aware* (see docs/PERFORMANCE.md): by
 default each one is timed under every kernel — the cycle-stepped
-reference, the event-driven fast kernel and the vectorized batch kernel
-— the tick counters are asserted exact-equal across engines at run
-time, and the result records a per-engine median plus **speedup** ratios
+reference, the event-driven fast kernel and the batch engine (the fast
+kernel behind ``run_batch``) — the tick counters are asserted
+exact-equal across engines at run time, and the result records a
+per-engine median plus **speedup** ratios
 (stepped/fast and stepped/batch).  Scenarios may pin a ``speedup_min``
 (``mp3_2seg_emulate`` demands ≥2.5x fast) and/or a ``speedup_min_batch``
 (``faults_sweep`` demands ≥5x batch) which ``--check`` gates even under
@@ -36,7 +37,7 @@ host), and the **peak traced memory** of one untimed round
 (``tracemalloc``, KiB) — see docs/TESTING.md.  The ``faults_sweep``
 scenario runs a whole reliability grid per engine, which is where the
 batch kernel's aggregate-throughput win (one model construction, one
-lockstep group, zero-hit cloning) is measured and gated.
+compatibility group, zero-hit cloning) is measured and gated.
 
 Baselines live in ``benchmarks/baselines/BENCH_<scenario>.json`` and are
 (re)written by ``segbus bench --update``.  ``--inject-slowdown N`` is a
@@ -314,8 +315,8 @@ def _faults_sweep_prepare(engine: str) -> Callable[[], Dict[str, int]]:
 
     The stepped/fast engines run the grid the way ``segbus faults``
     would (one in-process emulation per point, model construction
-    included); the batch engine collapses it into one vectorized
-    lockstep call.  The ticks pin the aggregated curve itself — counts
+    included); the batch engine collapses it into one ``run_batch``
+    call.  The ticks pin the aggregated curve itself — counts
     per status plus every mean execution time at nanosecond granularity
     — so a batch-kernel shortcut that changed any measurement would trip
     the cross-engine equality assert, not just the baseline.

@@ -24,7 +24,7 @@ independent directions and fails loudly on any divergence:
 
 * **ENG — engine equivalence.**  The same model runs through *every*
   simulation engine (the cycle-stepped reference, the event-driven fast
-  kernel and the vectorized batch kernel, see docs/PERFORMANCE.md) and
+  kernel and the batch engine, see docs/PERFORMANCE.md) and
   the trace, timeline and report digests plus the executed event count
   must be byte-identical across the whole matrix (``ENG-1``) — the
   derived kernels are only allowed constant-factor optimizations, never

@@ -342,28 +342,40 @@ class TestCanonicalDigest:
         assert canonical_digest("a", 1) != canonical_digest("a", 2)
 
     def test_emulation_job_digest_covers_config(self):
-        from repro.analysis.parallel import EmulationJob
+        # the reliability sweep's per-point job keys its checkpoint on
+        # everything that determines the result, config and engine too
+        from repro.analysis.reliability import _ReliabilityJob
         from repro.apps.mp3 import mp3_decoder_psdf, paper_platform
         from repro.emulator.config import EmulationConfig
-        from repro.emulator.kernel import PlatformSpec
+        from repro.faults import RetryPolicy
 
-        app = mp3_decoder_psdf()
-        spec = PlatformSpec.from_platform(paper_platform(2))
-        a = EmulationJob("x", app, spec)
-        b = EmulationJob(
-            "x", app, spec, config=EmulationConfig(bu_sync_ticks=5)
-        )
-        c = EmulationJob("x", app, spec, engine="stepped")
+        def job(**overrides):
+            fields = dict(
+                label="x",
+                application=mp3_decoder_psdf(),
+                platform=paper_platform(2),
+                kind="package_corruption",
+                rate=0.01,
+                seed=1,
+                stall_ticks=50,
+                retry_policy=RetryPolicy(),
+            )
+            fields.update(overrides)
+            return _ReliabilityJob(**fields)
+
+        a = job()
+        b = job(config=EmulationConfig(bu_sync_ticks=5))
+        c = job(engine="stepped")
         assert a.digest() != b.digest()
         assert a.digest() != c.digest()
-        assert a.digest() == EmulationJob("x", app, spec).digest()
+        assert a.digest() == job().digest()
 
     def test_emulation_job_default_config_is_per_instance(self):
-        # satellite: field(default_factory=...) — no shared default object
-        from repro.analysis.parallel import EmulationJob
+        # field(default_factory=...) — no shared default object
+        from repro.analysis.campaign import Variant
         import dataclasses
 
-        fields = {f.name: f for f in dataclasses.fields(EmulationJob)}
+        fields = {f.name: f for f in dataclasses.fields(Variant)}
         config_field = fields["config"]
         assert config_field.default is dataclasses.MISSING
         assert config_field.default_factory is not dataclasses.MISSING

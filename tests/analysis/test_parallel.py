@@ -1,12 +1,82 @@
-"""Parallel emulation batch tests."""
+"""Emulation campaigns through the supervised executor and ``run_batch``.
+
+Real emulations (not probe jobs) under :class:`CampaignExecutor`: input
+order, serial == parallel, failure labelling, partial results plus the
+ledger, and checkpoint resume.  The batch strategy must return the same
+per-member summaries as the executor path.
+"""
+
+from dataclasses import dataclass, field
+from typing import NamedTuple, Tuple
 
 import pytest
 
-from repro.analysis.parallel import EmulationJob, JobResult, parallel_emulate
+from repro.analysis.executor import (
+    CampaignExecutor,
+    JobError,
+    JobFailure,
+    canonical_digest,
+)
 from repro.apps.mp3 import mp3_decoder_psdf, paper_platform
+from repro.emulator.batchkernel import BatchMember, run_batch
 from repro.emulator.config import EmulationConfig
+from repro.emulator.fastkernel import FastSimulation
 from repro.emulator.kernel import PlatformSpec
 from repro.psdf.generators import chain_psdf
+from repro.psdf.graph import PSDFGraph
+from repro.units import fs_to_us
+
+
+@dataclass(frozen=True)
+class EmulationCase:
+    """One independent emulation, picklable for the executor's workers."""
+
+    label: str
+    application: PSDFGraph
+    spec: PlatformSpec
+    config: EmulationConfig = field(default_factory=EmulationConfig)
+
+    def digest(self) -> str:
+        return canonical_digest(
+            self.label, self.application, self.spec, self.config
+        )
+
+
+class Summary(NamedTuple):
+    label: str
+    execution_time_us: float
+    total_events: int
+    ca_tct: int
+    sa_tcts: Tuple[int, ...]
+    packages_delivered: int
+
+
+def summary_of(label, sim) -> Summary:
+    return Summary(
+        label=label,
+        execution_time_us=fs_to_us(sim.execution_time_fs()),
+        total_events=sim.queue.executed,
+        ca_tct=sim.ca.counters.tct,
+        sa_tcts=tuple(sim.sa_tct(i) for i in sorted(sim.segments)),
+        packages_delivered=sum(
+            c.packages_received for c in sim.process_counters.values()
+        ),
+    )
+
+
+def summarize(case: EmulationCase) -> Summary:
+    """The module-level (picklable) runner."""
+    sim = FastSimulation(case.application, case.spec, case.config).run()
+    return summary_of(case.label, sim)
+
+
+def run_cases(cases, **kwargs):
+    return CampaignExecutor(summarize, **kwargs).run(cases)
+
+
+def emulate_all(cases, **kwargs):
+    batch = run_cases(cases, **kwargs)
+    return list(batch.raise_on_failure(what="emulation job").results)
 
 
 def make_jobs():
@@ -14,10 +84,10 @@ def make_jobs():
     jobs = []
     for size in (18, 36, 72):
         spec = PlatformSpec.from_platform(paper_platform(3, package_size=size))
-        jobs.append(EmulationJob(label=f"s{size}", application=mp3, spec=spec))
+        jobs.append(EmulationCase(label=f"s{size}", application=mp3, spec=spec))
     chain = chain_psdf(4, items_per_stage=144, ticks_per_package=60)
     jobs.append(
-        EmulationJob(
+        EmulationCase(
             label="chain",
             application=chain,
             spec=PlatformSpec(
@@ -34,35 +104,34 @@ def make_jobs():
 
 class TestParallelEmulate:
     def test_results_in_input_order(self):
-        results = parallel_emulate(make_jobs(), workers=2)
+        results = emulate_all(make_jobs(), workers=2)
         assert [r.label for r in results] == ["s18", "s36", "s72", "chain"]
 
     def test_parallel_equals_serial(self):
         jobs = make_jobs()
-        serial = parallel_emulate(jobs, workers=1)
-        parallel = parallel_emulate(jobs, workers=2)
+        serial = emulate_all(jobs, workers=1)
+        parallel = emulate_all(jobs, workers=2)
         assert serial == parallel  # bit-identical summaries
 
     def test_small_batch_runs_serially(self):
         jobs = make_jobs()[:2]
-        results = parallel_emulate(jobs, workers=4, serial_threshold=3)
+        results = emulate_all(jobs, workers=4, serial_threshold=3)
         assert len(results) == 2  # no pool spun up; just works
 
     def test_result_contents(self):
-        result = parallel_emulate(make_jobs()[:1], workers=1)[0]
-        assert isinstance(result, JobResult)
+        result = emulate_all(make_jobs()[:1], workers=1)[0]
         assert result.execution_time_us > 0
         assert result.packages_delivered > 0
         assert len(result.sa_tcts) == 3
 
     def test_empty_batch(self):
-        assert parallel_emulate([], workers=2) == []
+        assert emulate_all([], workers=2) == []
 
 
 def make_broken_job(label="broken"):
     """A job whose worker must fail: the placement misses processes."""
     chain = chain_psdf(3, items_per_stage=72, ticks_per_package=40)
-    return EmulationJob(
+    return EmulationCase(
         label=label,
         application=chain,
         spec=PlatformSpec(
@@ -76,46 +145,36 @@ def make_broken_job(label="broken"):
 
 class TestWorkerFailure:
     def test_serial_failure_names_the_job(self):
-        from repro.analysis.parallel import JobError
-
         with pytest.raises(JobError, match="broken"):
-            parallel_emulate([make_broken_job()], workers=1)
+            emulate_all([make_broken_job()], workers=1)
 
     def test_parallel_failure_names_the_job(self):
-        from repro.analysis.parallel import JobError
-
         jobs = make_jobs() + [make_broken_job()]
         with pytest.raises(JobError, match="broken"):
-            parallel_emulate(jobs, workers=2)
+            emulate_all(jobs, workers=2)
 
     def test_multiple_failures_all_reported(self):
-        from repro.analysis.parallel import JobError
-
         jobs = [make_broken_job("bad_a"), make_broken_job("bad_b")]
         with pytest.raises(JobError, match="bad_a.*bad_b"):
-            parallel_emulate(jobs, workers=1)
+            emulate_all(jobs, workers=1)
 
     def test_failure_reports_counts(self):
-        from repro.analysis.parallel import JobError
-
         jobs = make_jobs() + [make_broken_job()]
         with pytest.raises(JobError, match=r"1 of 5"):
-            parallel_emulate(jobs, workers=2)
+            emulate_all(jobs, workers=2)
 
     def test_healthy_batch_unaffected_by_wrapping(self):
-        results = parallel_emulate(make_jobs(), workers=2)
-        assert all(isinstance(r, JobResult) for r in results)
+        results = emulate_all(make_jobs(), workers=2)
+        assert all(isinstance(r, Summary) for r in results)
 
     def test_job_error_keeps_partial_results_and_ledger(self):
-        from repro.analysis.parallel import JobError, JobFailure
-
         jobs = make_jobs() + [make_broken_job()]
         with pytest.raises(JobError) as excinfo:
-            parallel_emulate(jobs, workers=2)
+            emulate_all(jobs, workers=2)
         err = excinfo.value
-        # the completed summaries are not discarded any more
+        # the completed summaries are not discarded
         assert len(err.partial_results) == 4
-        assert all(isinstance(r, JobResult) for r in err.partial_results)
+        assert all(isinstance(r, Summary) for r in err.partial_results)
         (failure,) = err.failures
         assert isinstance(failure, JobFailure)
         assert failure.label == "broken"
@@ -124,10 +183,8 @@ class TestWorkerFailure:
         assert failure.traceback_tail
 
     def test_emulate_batch_degrades_gracefully(self):
-        from repro.analysis.parallel import emulate_batch
-
         jobs = make_jobs() + [make_broken_job()]
-        batch = emulate_batch(jobs, workers=2)
+        batch = run_cases(jobs, workers=2)
         assert not batch.ok
         assert batch.results[-1] is None
         assert [r.label for r in batch.results[:-1]] == [
@@ -139,14 +196,14 @@ class TestWorkerFailure:
 class TestCheckpointedEmulation:
     def test_resumed_digests_equal_clean_run(self, tmp_path):
         jobs = make_jobs()
-        clean = parallel_emulate(jobs, workers=2)
-        first = parallel_emulate(
+        clean = emulate_all(jobs, workers=2)
+        first = emulate_all(
             jobs,
             workers=2,
             checkpoint_dir=tmp_path,
             checkpoint_name="emu",
         )
-        resumed = parallel_emulate(
+        resumed = emulate_all(
             jobs,
             workers=2,
             checkpoint_dir=tmp_path,
@@ -157,51 +214,20 @@ class TestCheckpointedEmulation:
 
 
 class TestVectorizedBatchPath:
-    """All-``batch`` jobs collapse into one lockstep run (no pool)."""
-
-    def _as_engine(self, engine):
-        return [
-            EmulationJob(
-                label=job.label,
-                application=job.application,
-                spec=job.spec,
-                config=job.config,
-                engine=engine,
-            )
-            for job in make_jobs()
-        ]
-
     def test_vectorized_results_equal_executor_path(self):
-        from repro.analysis.parallel import emulate_batch
-
-        fast = emulate_batch(self._as_engine("fast"), workers=1)
-        batch = emulate_batch(self._as_engine("batch"), workers=1)
-        assert fast.ok and batch.ok
-        assert tuple(fast.results) == tuple(batch.results)
-        assert batch.stats.attempts == len(fast.results)
-
-    def test_mixed_engines_use_the_executor_path(self):
-        from repro.analysis.parallel import emulate_batch
-
-        jobs = self._as_engine("batch")
-        jobs[0] = EmulationJob(
-            label=jobs[0].label,
-            application=jobs[0].application,
-            spec=jobs[0].spec,
-            config=jobs[0].config,
-            engine="fast",
+        jobs = make_jobs()
+        executed = emulate_all(jobs, workers=1)
+        run = run_batch(
+            [
+                BatchMember(
+                    label=job.label,
+                    application=job.application,
+                    spec=job.spec,
+                    config=job.config,
+                )
+                for job in jobs
+            ]
         )
-        # one non-batch job disables the vectorized collapse; results
-        # are identical anyway because the engines are equivalent
-        mixed = emulate_batch(jobs, workers=1)
-        pure = emulate_batch(self._as_engine("fast"), workers=1)
-        assert tuple(mixed.results) == tuple(pure.results)
-
-    def test_checkpointing_keeps_the_supervised_path(self, tmp_path):
-        from repro.analysis.parallel import emulate_batch
-
-        jobs = self._as_engine("batch")
-        journaled = emulate_batch(jobs, workers=1, checkpoint_dir=tmp_path)
-        direct = emulate_batch(jobs, workers=1)
-        assert tuple(journaled.results) == tuple(direct.results)
-        assert list(tmp_path.iterdir()), "checkpoint journal was not written"
+        assert run.ok
+        batched = [summary_of(o.label, o.sim) for o in run.outcomes]
+        assert batched == executed

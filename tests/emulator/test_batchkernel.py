@@ -1,13 +1,13 @@
 """Batch-kernel tests: grouping, cloning, isolation, order invariance.
 
-The vectorized mega-batch engine promises two things at once: per-member
-observables *byte-identical* to the stepped kernel, and an execution
-strategy (shared construction, lockstep scheduling, zero-hit cloning,
-dedup) that never leaks into those observables.  These tests pin the
-batch-shape edge cases — empty batch, batch of one, heterogeneous
-batches, a member that dies mid-batch — plus the internal machinery the
-equivalence proof leans on (exact vectorized fault predraws and the
-counting injector's opportunity census).
+The batch engine promises two things at once: per-member observables
+*byte-identical* to the stepped kernel, and an execution strategy
+(shared construction, zero-hit cloning, dedup, the remaining members run
+one after another on the fast kernel) that never leaks into those
+observables.  These tests pin the batch-shape edge cases — empty batch,
+batch of one, heterogeneous batches, a member that dies mid-batch — plus
+the internal machinery the equivalence proof leans on (exact vectorized
+fault predraws and the counting injector's opportunity census).
 """
 
 import random
@@ -78,7 +78,7 @@ class TestBatchShapes:
         assert run.outcomes[0].report.digest() == _stepped_digest(member)
 
     def test_heterogeneous_batch_falls_back_per_group(self):
-        # different platform specs cannot share a lockstep group; the
+        # different platform specs cannot share a group; the
         # batch must split per compatibility group, not reject or merge
         members = [
             _member("a2", spec=_spec(segments=2)),
@@ -124,36 +124,29 @@ class TestFailureIsolation:
                 members[0 if label == "healthy1" else 2]
             )
 
-    def test_failed_member_becomes_job_failure_in_emulate_batch(self):
-        # the analysis layer surfaces a batch member's death as that
-        # job's JobFailure ledger entry, mirroring the executor path
-        from repro.analysis.parallel import EmulationJob, emulate_batch
+    def test_budget_stop_is_that_members_error(self):
+        # a member that exhausts its event budget (its own group: the
+        # config differs) fails alone; its sibling still matches stepped
         from repro.emulator.config import EmulationConfig
+        from repro.errors import StallError
 
         spec = _spec()
-        jobs = [
-            EmulationJob(
-                label="ok",
-                application=mp3_decoder_psdf(),
-                spec=spec,
-                engine="batch",
-            ),
-            EmulationJob(
-                label="budget-dead",
-                application=mp3_decoder_psdf(),
-                spec=spec,
-                config=EmulationConfig(max_events=3),
-                engine="batch",
-            ),
-        ]
-        result = emulate_batch(jobs, workers=1)
-        assert not result.ok
-        assert result.results[0] is not None
-        assert result.results[1] is None
-        (failure,) = result.failures
-        assert failure.label == "budget-dead"
-        assert failure.kind == "error"
-        assert failure.attempts == 1
+        healthy = BatchMember(
+            label="ok", application=mp3_decoder_psdf(), spec=spec
+        )
+        dead = BatchMember(
+            label="budget-dead",
+            application=mp3_decoder_psdf(),
+            spec=spec,
+            config=EmulationConfig(max_events=3),
+        )
+        run = run_batch([healthy, dead])
+        assert not run.ok
+        assert run.stats.groups == 2
+        ok, failed = run.outcomes
+        assert ok.report.digest() == _stepped_digest(healthy)
+        assert isinstance(failed.error, StallError)
+        assert failed.report is None and failed.sim is None
 
 
 class TestCloningAndDedup:

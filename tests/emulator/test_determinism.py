@@ -46,7 +46,7 @@ for d in digests(mp3_decoder_psdf(), paper_platform(3)):
 for d in digests(model.application, model.platform):
     print(d)
 
-# one faulted lockstep batch: per-member report digests must be just as
+# one faulted run_batch call: per-member report digests must be just as
 # independent of str-hash randomization as the single-run engines
 spec = PlatformSpec.from_platform(paper_platform(2, package_size=8))
 members = [

@@ -99,10 +99,13 @@ class TestBackpressure:
 
 
 class TestChaos:
+    # payloads pin the fast engine: a batch-engine emulation takes the
+    # vectorized path and never reaches the executor's chaos hooks
+
     def test_killed_worker_recovers_and_serves_the_result(
         self, service_factory, inline_schemes
     ):
-        payload = _emulate_payload(inline_schemes)
+        payload = _emulate_payload(inline_schemes, engine="fast")
         chaos = ChaosPlan(kill_on=(f"{_label(payload)}:1",))
         service = service_factory(workers=2, chaos=chaos)
         response = service.submit(payload)
@@ -116,7 +119,7 @@ class TestChaos:
     def test_poisoned_job_returns_structured_500_with_ledger(
         self, service_factory, inline_schemes, inline_schemes_1seg
     ):
-        payload = _emulate_payload(inline_schemes)
+        payload = _emulate_payload(inline_schemes, engine="fast")
         chaos = ChaosPlan(poison_labels=(_label(payload),))
         service = service_factory(workers=2, retries=2, chaos=chaos)
         response = service.submit(payload)
@@ -132,13 +135,13 @@ class TestChaos:
         assert service.cache.peek(cache_key(parse_job(payload))) is None
         assert service.stats()["cache"]["entries"] == 0
         # ... and the queue drains: the next request is served normally
-        healthy = service.submit(_emulate_payload(inline_schemes_1seg))
+        healthy = service.submit(_emulate_payload(inline_schemes_1seg, engine="fast"))
         assert (healthy.status, healthy.cache) == (200, "miss")
 
     def test_stalled_worker_times_out_and_the_retry_succeeds(
         self, service_factory, inline_schemes
     ):
-        payload = _emulate_payload(inline_schemes)
+        payload = _emulate_payload(inline_schemes, engine="fast")
         chaos = ChaosPlan(stall_on=(f"{_label(payload)}:1",), stall_s=60.0)
         service = service_factory(workers=2, timeout_s=1.0, chaos=chaos)
         response = service.submit(payload)
@@ -149,7 +152,7 @@ class TestChaos:
     def test_coalesced_waiters_share_the_failure(
         self, service_factory, inline_schemes
     ):
-        payload = _emulate_payload(inline_schemes)
+        payload = _emulate_payload(inline_schemes, engine="fast")
         chaos = ChaosPlan(poison_labels=(_label(payload),))
         service = service_factory(
             workers=2, retries=1, chaos=chaos, auto_start=False

@@ -159,10 +159,12 @@ class TestCacheKey:
     def test_single_field_mutations_give_distinct_keys(self, inline_schemes):
         psdf_xml, psm_xml = inline_schemes
         base = {"kind": "emulate", "psdf_xml": psdf_xml, "psm_xml": psm_xml}
+        # an engine other than the resolved default (SEGBUS_ENGINE may set it)
+        other_engine = "fast" if resolve_engine(None) != "fast" else "batch"
         mutations = [
             {**base, "kind": "estimate"},
             {**base, "kind": "lint"},
-            {**base, "engine": "batch"},
+            {**base, "engine": other_engine},
             {**base, "strict": True},
             {**base, "psdf_xml": psdf_xml + "<!-- -->"},
             {**base, "psm_xml": psm_xml + "<!-- -->"},
@@ -289,6 +291,25 @@ class TestExecuteJob:
             parse_job({"kind": kind, "psdf_xml": psdf_xml, "psm_xml": psm_xml})
         )
         assert calls == {"psdf": 1, "psm": 1}
+
+    def test_served_lint_of_a_cyclic_psdf_reports_findings(
+        self, service_factory, inline_schemes
+    ):
+        # P7 -> P6 closes a cycle: no graph can be built, yet lint must
+        # still report on the parsed scheme, exactly as `segbus lint` does
+        psdf_xml, psm_xml = inline_schemes
+        cyclic = psdf_xml.replace(
+            'name="P14_576_13_320"', 'name="P6_576_13_320"'
+        )
+        assert cyclic != psdf_xml
+        payload = {"kind": "lint", "psdf_xml": cyclic, "psm_xml": psm_xml}
+        response = service_factory().submit(payload)
+        assert response.status == 200
+        body = json.loads(response.body)
+        assert body["exit_code"] == 2
+        rules = {f["rule"] for f in body["result"]["findings"]}
+        assert {"SB207", "SB208"} <= rules
+        assert response.body == response_bytes(execute_job(parse_job(payload)))
 
     def test_job_kinds_constant_is_the_full_dispatch_surface(self):
         assert JOB_KINDS == ("emulate", "estimate", "lint", "selftest")
