@@ -27,26 +27,34 @@ from repro.model.elements import SegBusPlatform
 from repro.psdf.flow import FlowCost, PacketFlow
 from repro.psdf.graph import PSDFGraph
 from repro.psdf.matrix import CommunicationMatrix, build_communication_matrix
-from repro.xmlio.psdf_parser import parse_psdf_xml
+from repro.xmlio.psdf_parser import ParsedPSDF, parse_psdf_xml
 from repro.xmlio.psdf_writer import psdf_to_xml
-from repro.xmlio.psm_parser import parse_psm_xml
+from repro.xmlio.psm_parser import ParsedPSM, parse_psm_xml
 from repro.xmlio.psm_writer import psm_to_xml
 
 
 class SegBusEmulator:
-    """One emulation session: parse schemes, set up, run, report."""
+    """One emulation session: parse schemes, set up, run, report.
+
+    Each scheme is its text, or the ``ParsedPSDF``/``ParsedPSM`` already
+    loaded from it (only a text is parsed here).
+    """
 
     def __init__(
         self,
-        psdf_xml: str,
-        psm_xml: str,
+        psdf_xml: Union[str, ParsedPSDF],
+        psm_xml: Union[str, ParsedPSM],
         config: Optional[EmulationConfig] = None,
         fault_plan=None,
         retry_policy=None,
         watchdog=None,
     ) -> None:
-        self._parsed_psdf = parse_psdf_xml(psdf_xml)
-        self._parsed_psm = parse_psm_xml(psm_xml)
+        self._parsed_psdf = (
+            parse_psdf_xml(psdf_xml) if isinstance(psdf_xml, str) else psdf_xml
+        )
+        self._parsed_psm = (
+            parse_psm_xml(psm_xml) if isinstance(psm_xml, str) else psm_xml
+        )
         self.config = config or EmulationConfig()
         #: optional resilience knobs (see repro.faults / docs/ROBUSTNESS.md)
         self.fault_plan = fault_plan

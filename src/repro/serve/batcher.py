@@ -19,10 +19,14 @@ Eligibility (:func:`batchable`) is deliberately conservative:
 * not ``strict`` — the strict path lints before simulating and its
   failure shape (``LintError``) belongs to the per-job path.
 
+Members run on the schemes admission already parsed
+(:attr:`~repro.serve.jobs.ServeJob.schemes`); nothing here loads XML.
+
 Equivalence: a member's report comes from the same ``build_report`` over
 the same batch kernel the per-job path would use with ``engine="batch"``,
-so coalescing is invisible in the response bytes — the serving
-equivalence suite pins this through real HTTP.
+and its body from the same :func:`~repro.serve.jobs.emulate_body`
+envelope, so coalescing is invisible in the response bytes — the
+serving equivalence suite pins this through real HTTP.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.executor import JobFailure
-from repro.serve.jobs import ServeJob
+from repro.serve.jobs import ServeJob, emulate_body
 
 
 def batchable(job: ServeJob) -> bool:
@@ -40,8 +44,6 @@ def batchable(job: ServeJob) -> bool:
         and job.engine == "batch"
         and job.workload is None
         and not job.strict
-        and job.psdf_xml is not None
-        and job.psm_xml is not None
     )
 
 
@@ -70,8 +72,6 @@ def run_emulate_batch(
     from repro.emulator.batchkernel import BatchMember, run_batch
     from repro.emulator.emulator import SegBusEmulator
     from repro.errors import SegBusError
-    from repro.serve.jobs import RESPONSE_SCHEMA_VERSION, cache_key
-    from repro.xmlio.faults_xml import parse_fault_plan_xml
 
     out: List[Tuple[Optional[Dict[str, object]], Optional[JobFailure]]] = [
         (None, None)
@@ -80,15 +80,8 @@ def run_emulate_batch(
     positions: List[int] = []
     for position, job in enumerate(jobs):
         try:
-            emulator = SegBusEmulator(
-                job.psdf_xml or "",
-                job.psm_xml or "",
-                fault_plan=(
-                    parse_fault_plan_xml(job.fault_plan_xml)
-                    if job.fault_plan_xml is not None
-                    else None
-                ),
-            )
+            psdf, psm, fault_plan = job.schemes
+            emulator = SegBusEmulator(psdf, psm, fault_plan=fault_plan)
         except SegBusError as exc:
             out[position] = (None, _model_failure(job, exc))
             continue
@@ -115,16 +108,6 @@ def run_emulate_batch(
         if outcome.error is not None:
             out[position] = (None, _model_failure(job, outcome.error))
             continue
-        report = outcome.report
-        assert report is not None  # an outcome holds a report or an error
-        body: Dict[str, object] = {
-            "kind": "emulate",
-            "engine": job.engine,
-            "multimode": False,
-            "result": report.to_dict(),
-            "digest": report.digest(),
-            "schema": RESPONSE_SCHEMA_VERSION,
-            "key": cache_key(job),
-        }
-        out[position] = (body, None)
+        assert outcome.report is not None  # a report or an error
+        out[position] = (emulate_body(job, outcome.report), None)
     return out

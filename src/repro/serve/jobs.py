@@ -9,8 +9,11 @@ equivalence suite and the CLI all share one code path:
   processes) and rejects unknown fields, bad kinds and unknown engines.
 * :func:`validate_job` runs the deep checks: the inline schemes go
   through the real XML loaders, so a request that would crash a worker
-  is refused at admission with a 400 instead.
-* :func:`cache_key` derives the digest the result cache is keyed on.
+  is refused at admission with a 400 instead.  It returns the loaded
+  schemes, which the job keeps (:attr:`ServeJob.schemes`, pickled along
+  to worker processes) and execution runs on: one parse per miss.
+* :func:`cache_key` derives the digest the result cache is keyed on
+  (once per job: :attr:`ServeJob.key`).
   The key covers every input byte (scheme texts, workload name, engine,
   flags) *and* the versions of the rule catalogue and the estimator —
   see :func:`cache_key` for exactly which jobs carry which version.
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Mapping, Optional
 
 from repro.analysis.executor import canonical_digest
@@ -72,6 +76,10 @@ class ServeJob:
     name (``workload``, see ``repro.apps.workloads.scenario_catalog``).
     ``engine`` is always resolved (never None) so two spellings of the
     default engine cannot fragment the cache.
+
+    :attr:`key` and :attr:`schemes` are computed once per job object and
+    are not dataclass fields: ``==``, ``hash`` and ``canonical_digest``
+    see only the primitives above.
     """
 
     kind: str
@@ -84,10 +92,24 @@ class ServeJob:
     count: int = 0
     seed: int = 1
 
+    @cached_property
+    def key(self) -> str:
+        """This job's :func:`cache_key`."""
+        return cache_key(self)
+
+    @cached_property
+    def schemes(self) -> tuple:
+        """The inline schemes as :func:`validate_job` loaded them."""
+        return validate_job(self)
+
     @property
     def label(self) -> str:
         """Executor/chaos label: the kind plus a stable key prefix."""
-        return f"{self.kind}:{cache_key(self)[:12]}"
+        return f"{self.kind}:{self.key[:12]}"
+
+    def digest(self) -> str:
+        """The executor's checkpoint key: the cache key."""
+        return self.key
 
 
 def _require(condition: bool, detail: str) -> None:
@@ -208,34 +230,30 @@ def parse_job(
     )
 
 
-def validate_job(job: ServeJob) -> None:
-    """Deep validation: run the inline schemes through the real loaders.
+def validate_job(job: ServeJob) -> tuple:
+    """Deep validation: load the inline schemes through the real loaders.
 
-    Raises :class:`JobValidationError` naming the offending scheme.  Only
+    Returns the parsed ``(ParsedPSDF, ParsedPSM, FaultPlan)``, None where
+    the job carries no such scheme.  Raises :class:`JobValidationError` naming the offending scheme.  Only
     called on a cache miss — a key that ever produced a cached response
     has necessarily validated before.
     """
-    if job.psdf_xml is not None:
-        from repro.xmlio.psdf_parser import parse_psdf_xml
+    from repro.xmlio.faults_xml import parse_fault_plan_xml
+    from repro.xmlio.psdf_parser import parse_psdf_xml
+    from repro.xmlio.psm_parser import parse_psm_xml
 
+    loaded = []
+    for field, loader in (
+        ("psdf_xml", parse_psdf_xml),
+        ("psm_xml", parse_psm_xml),
+        ("fault_plan_xml", parse_fault_plan_xml),
+    ):
+        text = getattr(job, field)
         try:
-            parse_psdf_xml(job.psdf_xml)
+            loaded.append(None if text is None else loader(text))
         except SegBusError as exc:
-            raise JobValidationError(f"psdf_xml: {exc}") from exc
-    if job.psm_xml is not None:
-        from repro.xmlio.psm_parser import parse_psm_xml
-
-        try:
-            parse_psm_xml(job.psm_xml)
-        except SegBusError as exc:
-            raise JobValidationError(f"psm_xml: {exc}") from exc
-    if job.fault_plan_xml is not None:
-        from repro.xmlio.faults_xml import parse_fault_plan_xml
-
-        try:
-            parse_fault_plan_xml(job.fault_plan_xml)
-        except SegBusError as exc:
-            raise JobValidationError(f"fault_plan_xml: {exc}") from exc
+            raise JobValidationError(f"{field}: {exc}") from exc
+    return tuple(loaded)
 
 
 # ---------------------------------------------------------------------------
@@ -287,20 +305,12 @@ def cache_key(job: ServeJob) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _load_models(job: ServeJob):
-    """(application, platform_or_spec, is_multimode) for a model-bearing job."""
-    if job.workload is not None:
-        from repro.apps.workloads import workload_model
+def _workload_models(job: ServeJob):
+    """(application, platform, is_multimode) of a workload job."""
+    from repro.apps.workloads import workload_model
 
-        model = workload_model(job.workload)
-        return model.application, model.platform, model.is_multimode
-    from repro.emulator.kernel import PlatformSpec
-    from repro.xmlio.psdf_parser import parse_psdf_xml
-    from repro.xmlio.psm_parser import parse_psm_xml
-
-    application = parse_psdf_xml(job.psdf_xml or "").to_graph()
-    spec = PlatformSpec.from_parsed_psm(parse_psm_xml(job.psm_xml or ""))
-    return application, spec, False
+    model = workload_model(job.workload or "")
+    return model.application, model.platform, model.is_multimode
 
 
 def _queue_dict(model) -> Dict[str, object]:
@@ -350,23 +360,30 @@ def _multimode_estimate_dict(
     }
 
 
+def emulate_body(
+    job: ServeJob, outcome, multimode: bool = False
+) -> Dict[str, object]:
+    """An emulate job's response body: the per-job and the coalesced path
+    (:mod:`repro.serve.batcher`) share it, so coalescing cannot show."""
+    return {
+        "kind": "emulate",
+        "engine": job.engine,
+        "multimode": multimode,
+        "result": outcome.to_dict(),
+        "digest": outcome.digest(),
+        "schema": RESPONSE_SCHEMA_VERSION,
+        "key": job.key,
+    }
+
+
 def _execute_emulate(job: ServeJob) -> Dict[str, object]:
     from repro.emulator.emulator import SegBusEmulator
 
     if job.workload is None:
-        # the emulator parses the inline schemes itself: parse them once
-        from repro.xmlio.faults_xml import parse_fault_plan_xml
-
-        fault_plan = (
-            parse_fault_plan_xml(job.fault_plan_xml)
-            if job.fault_plan_xml is not None
-            else None
-        )
-        emulator = SegBusEmulator(
-            job.psdf_xml or "", job.psm_xml or "", fault_plan=fault_plan
-        )
+        psdf, psm, fault_plan = job.schemes
+        emulator = SegBusEmulator(psdf, psm, fault_plan=fault_plan)
     else:
-        application, platform, is_multimode = _load_models(job)
+        application, platform, is_multimode = _workload_models(job)
         if is_multimode:
             from repro.emulator.multimode import run_multimode
             from repro.errors import LintError
@@ -380,22 +397,11 @@ def _execute_emulate(job: ServeJob) -> Dict[str, object]:
                         [f.format() for f in report.errors], report=report
                     )
             mm = run_multimode(application, platform, engine=job.engine)
-            return {
-                "kind": "emulate",
-                "engine": job.engine,
-                "multimode": True,
-                "result": mm.to_dict(),
-                "digest": mm.digest(),
-            }
+            return emulate_body(job, mm, multimode=True)
         emulator = SegBusEmulator.from_models(application, platform)
-    report = emulator.run(strict=job.strict, engine=job.engine)
-    return {
-        "kind": "emulate",
-        "engine": job.engine,
-        "multimode": False,
-        "result": report.to_dict(),
-        "digest": report.digest(),
-    }
+    return emulate_body(
+        job, emulator.run(strict=job.strict, engine=job.engine)
+    )
 
 
 def _execute_estimate(job: ServeJob) -> Dict[str, object]:
@@ -405,11 +411,14 @@ def _execute_estimate(job: ServeJob) -> Dict[str, object]:
     )
     from repro.emulator.kernel import PlatformSpec
 
-    application, platform, is_multimode = _load_models(job)
-    if job.workload is not None:
-        spec = PlatformSpec.from_platform(platform)
+    if job.workload is None:
+        psdf, psm, _ = job.schemes
+        application = psdf.to_graph()
+        spec = PlatformSpec.from_parsed_psm(psm)
+        is_multimode = False
     else:
-        spec = platform  # inline path already built the spec
+        application, platform, is_multimode = _workload_models(job)
+        spec = PlatformSpec.from_platform(platform)
     if is_multimode:
         estimate = stochastic_estimate_multimode(application, spec)
         result: Dict[str, object] = _multimode_estimate_dict(estimate)
@@ -435,23 +444,18 @@ def _execute_lint(job: ServeJob) -> Dict[str, object]:
     )
 
     if job.workload is not None:
-        application, platform, is_multimode = _load_models(job)
+        application, platform, is_multimode = _workload_models(job)
         if is_multimode:
             report = lint_multimode(application, platform=platform)
         else:
             report = lint_models(application=application, platform=platform)
     else:
-        application = platform = None
-        if job.psdf_xml is not None:
-            from repro.xmlio.psdf_parser import parse_psdf_xml
-
-            # the parsed form, not a graph: a cyclic PSDF still lints
-            application = parse_psdf_xml(job.psdf_xml)
-        if job.psm_xml is not None:
-            from repro.xmlio.psm_parser import parse_psm_xml
-
-            platform = parse_psm_xml(job.psm_xml).to_platform()
-        report = lint_models(application=application, platform=platform)
+        # the parsed form, not a graph: a cyclic PSDF still lints
+        psdf, psm, _ = job.schemes
+        report = lint_models(
+            application=psdf,
+            platform=psm.to_platform() if psm is not None else None,
+        )
     result = json.loads(report.to_json())
     return {
         "kind": "lint",
@@ -503,11 +507,11 @@ def execute_job(job: ServeJob) -> Dict[str, object]:
 
     The returned dict is the full deterministic response body; the
     service wraps it in bytes via :func:`response_bytes` and caches those
-    bytes under :func:`cache_key`.
+    bytes under :attr:`ServeJob.key`.
     """
     if job.kind == "emulate":
-        body = _execute_emulate(job)
-    elif job.kind == "estimate":
+        return _execute_emulate(job)
+    if job.kind == "estimate":
         body = _execute_estimate(job)
     elif job.kind == "lint":
         body = _execute_lint(job)
@@ -516,7 +520,7 @@ def execute_job(job: ServeJob) -> Dict[str, object]:
     else:  # pragma: no cover - parse_job gates kinds
         raise SegBusError(f"unknown job kind {job.kind!r}")
     body["schema"] = RESPONSE_SCHEMA_VERSION
-    body["key"] = cache_key(job)
+    body["key"] = job.key
     return body
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
@@ -176,27 +177,18 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             # one admission for the whole batch: its members enter the
             # queue together and share a dispatcher micro-batch
+            started = time.perf_counter()
             tickets = self.service.admit(jobs)
             responses = []
             for ticket in tickets:
-                ticket.event.wait(self.service.config.request_timeout_s)
-                if ticket.body is not None:
-                    responses.append(
-                        {
-                            "status": 200,
-                            "cache": ticket.role,
-                            "body": json.loads(ticket.body.decode("utf-8")),
-                        }
-                    )
-                else:
-                    body = ticket.failure_body or b'{"error":{}}'
-                    responses.append(
-                        {
-                            "status": ticket.failure_status or 504,
-                            "cache": ticket.role,
-                            "body": json.loads(body.decode("utf-8")),
-                        }
-                    )
+                response = self.service.wait(ticket, started)
+                responses.append(
+                    {
+                        "status": response.status,
+                        "cache": response.cache,
+                        "body": json.loads(response.body.decode("utf-8")),
+                    }
+                )
             self._send_json(200, {"responses": responses})
             return
         response = self.service.submit(payload)

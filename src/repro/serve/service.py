@@ -14,7 +14,8 @@ One request's life:
    key computes at most once per cache epoch, which is also what makes
    the bench's computed/reused tick counters deterministic under
    concurrency.
-4. Otherwise the job deep-validates against the XML loaders (400), and
+4. Otherwise the job loads its schemes through the XML loaders (400),
+   keeping them for execution (in a worker too: one parse per miss), and
    enters the bounded admission queue; when the queue is full the
    request is shed with a deterministic 429 + Retry-After.
 5. The dispatcher thread wakes on every admission and drains whatever
@@ -56,11 +57,9 @@ from repro.serve.batcher import batchable, run_emulate_batch
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import (
     ServeJob,
-    cache_key,
     execute_job,
     parse_job,
     response_bytes,
-    validate_job,
 )
 
 
@@ -282,7 +281,7 @@ class SegbusService:
         admitted: List[_Ticket] = []
         for ticket in fresh:
             try:
-                validate_job(self._job_of(ticket))
+                self._job_of(ticket).schemes  # load and keep them
             except JobValidationError as exc:
                 ticket.role = "rejected"
                 ticket.resolve_error(400, _error_bytes("invalid", exc.detail))
@@ -311,7 +310,7 @@ class SegbusService:
             ticket.role = "rejected"
             ticket.resolve_error(400, _error_bytes("invalid", exc.detail))
             return ticket
-        return _Ticket(cache_key(job), job)
+        return _Ticket(job.key, job)
 
     def _settle(
         self, ticket: _Ticket, lookup: Callable[[str], Optional[bytes]]
@@ -359,7 +358,16 @@ class SegbusService:
     ) -> ServeResponse:
         """Admit and wait: the blocking request path the HTTP layer uses."""
         started = time.perf_counter()
-        ticket = self.submit_async(payload)
+        return self.wait(self.submit_async(payload), started, timeout_s)
+
+    def wait(
+        self,
+        ticket: _Ticket,
+        started: float,
+        timeout_s: Optional[float] = None,
+    ) -> ServeResponse:
+        """Wait for one admitted ticket (``started``: its admission's
+        ``perf_counter``) and count it as a request; 504 past the budget."""
         budget = (
             timeout_s
             if timeout_s is not None

@@ -125,6 +125,46 @@ class TestValidateJob:
             )
         )
 
+    def test_returns_the_loaded_schemes(self, inline_schemes):
+        from repro.xmlio.psdf_parser import parse_psdf_xml
+        from repro.xmlio.psm_parser import parse_psm_xml
+
+        psdf_xml, psm_xml = inline_schemes
+        job = parse_job(
+            {"kind": "lint", "psdf_xml": psdf_xml, "psm_xml": psm_xml}
+        )
+        assert validate_job(job) == (
+            parse_psdf_xml(psdf_xml), parse_psm_xml(psm_xml), None
+        )
+        psdf, psm, plan = validate_job(
+            parse_job({"kind": "lint", "psm_xml": psm_xml})
+        )
+        assert psdf is None and plan is None and psm is not None
+        assert validate_job(
+            parse_job({"kind": "emulate", "workload": "bursty"})
+        ) == (None, None, None)
+
+    def test_a_loaded_job_equals_a_fresh_one(self, inline_schemes):
+        import pickle
+
+        from repro.analysis.executor import canonical_digest
+
+        psdf_xml, psm_xml = inline_schemes
+        payload = {"kind": "emulate", "psdf_xml": psdf_xml, "psm_xml": psm_xml}
+        loaded = parse_job(payload)
+        assert loaded.schemes is loaded.schemes  # loaded once, then kept
+        assert loaded.key == cache_key(loaded)
+        fresh = parse_job(payload)
+        assert loaded == fresh
+        assert hash(loaded) == hash(fresh)
+        assert canonical_digest(loaded) == canonical_digest(fresh)
+        assert loaded.digest() == fresh.digest() == cache_key(fresh)
+        # a worker process receives the loaded schemes with the job
+        shipped = pickle.loads(pickle.dumps(loaded))
+        assert shipped == loaded
+        assert shipped.__dict__["schemes"] == loaded.schemes
+        assert shipped.__dict__["key"] == loaded.key
+
     def test_broken_psdf_names_the_scheme(self, inline_schemes):
         _, psm_xml = inline_schemes
         job = parse_job(
@@ -263,10 +303,21 @@ class TestExecuteJob:
         second = response_bytes(execute_job(parse_job(payload)))
         assert first == second
 
-    @pytest.mark.parametrize("kind", ["emulate", "estimate", "lint"])
+    @pytest.mark.parametrize(
+        "kind, engine",
+        [
+            pytest.param("emulate", None, id="emulate"),
+            pytest.param("emulate", "fast", id="emulate-fast"),
+            pytest.param("emulate", "batch", id="emulate-batch"),
+            pytest.param("estimate", None, id="estimate"),
+            pytest.param("lint", None, id="lint"),
+        ],
+    )
     def test_inline_job_parses_each_scheme_once(
-        self, kind, inline_schemes, monkeypatch
+        self, kind, engine, inline_schemes, service_factory, monkeypatch
     ):
+        # admission loads the schemes and execution runs on them: one
+        # parse per scheme for the whole miss, on every engine path
         import repro.emulator.emulator as emulator_module
         import repro.xmlio.psdf_parser as psdf_parser
         import repro.xmlio.psm_parser as psm_parser
@@ -287,10 +338,28 @@ class TestExecuteJob:
         for module in (psm_parser, emulator_module):
             monkeypatch.setattr(module, "parse_psm_xml", psm)
         psdf_xml, psm_xml = inline_schemes
-        execute_job(
-            parse_job({"kind": kind, "psdf_xml": psdf_xml, "psm_xml": psm_xml})
-        )
+        payload = {"kind": kind, "psdf_xml": psdf_xml, "psm_xml": psm_xml}
+        if engine is not None:
+            payload["engine"] = engine
+        response = service_factory(workers=1).submit(payload)
+        assert (response.status, response.cache) == (200, "miss")
         assert calls == {"psdf": 1, "psm": 1}
+
+    @pytest.mark.parametrize("kind", ["emulate", "estimate"])
+    def test_served_cyclic_psdf_is_a_model_error(
+        self, kind, service_factory, inline_schemes
+    ):
+        # admission parses a cyclic PSDF fine; building its graph fails
+        psdf_xml, psm_xml = inline_schemes
+        cyclic = psdf_xml.replace(
+            'name="P14_576_13_320"', 'name="P6_576_13_320"'
+        )
+        response = service_factory().submit(
+            {"kind": kind, "psdf_xml": cyclic, "psm_xml": psm_xml}
+        )
+        assert (response.status, response.cache) == (422, "failed")
+        error = json.loads(response.body)["error"]
+        assert error["failures"][0]["error"] == "PSDFError"
 
     def test_served_lint_of_a_cyclic_psdf_reports_findings(
         self, service_factory, inline_schemes

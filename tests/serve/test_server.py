@@ -132,6 +132,41 @@ class TestJobRequests:
         assert responses[0]["body"] == responses[1]["body"]
         assert responses[2]["status"] == 400
 
+    def test_client_batch_members_count_in_stats(
+        self, http_server, inline_schemes
+    ):
+        psdf_xml, psm_xml = inline_schemes
+        jobs = [
+            {"kind": kind, "psdf_xml": psdf_xml, "psm_xml": psm_xml}
+            for kind in ("emulate", "estimate", "lint")
+        ] + [{"kind": "x"}]
+        body = json.dumps({"jobs": jobs})
+        status, _, _ = _request(http_server, "POST", "/v1/jobs", body=body)
+        assert status == 200
+        stats = http_server.service.stats()
+        assert stats["requests"] == 4
+        assert stats["by_disposition"] == {"miss": 3, "rejected": 1}
+
+    def test_client_batch_timeout_answers_like_a_single_job(
+        self, service_factory, inline_schemes
+    ):
+        # no dispatcher running: the member's wait budget expires
+        service = service_factory(auto_start=False, request_timeout_s=0.05)
+        server = create_server(service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            body = json.dumps({"jobs": [_emulate_payload(inline_schemes)]})
+            status, _, data = _request(server, "POST", "/v1/jobs", body=body)
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert status == 200
+        (member,) = json.loads(data)["responses"]
+        assert (member["status"], member["cache"]) == (504, "timeout")
+        assert member["body"]["error"]["kind"] == "deadline"
+        assert service.stats()["by_disposition"] == {"timeout": 1}
+
     def test_jobs_must_be_an_array(self, http_server):
         status, _, data = _request(
             http_server, "POST", "/v1/jobs", body=json.dumps({"jobs": "x"})

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.serve.jobs import execute_job, parse_job, response_bytes
 
 
@@ -67,6 +69,35 @@ class TestDispositions:
         assert stats["by_disposition"]["rejected"] == 1
         assert stats["cache"]["entries"] == 1
         assert stats["latency_ms"]["p50"] >= 0.0
+
+
+class TestSingleLoad:
+    def test_a_miss_keys_its_job_once(
+        self, service_factory, inline_schemes, monkeypatch
+    ):
+        from repro.serve import jobs as serve_jobs
+
+        calls = []
+        real = serve_jobs.cache_key
+
+        def counting(job):
+            calls.append(job)
+            return real(job)
+
+        monkeypatch.setattr(serve_jobs, "cache_key", counting)
+        response = service_factory().submit(_emulate_payload(inline_schemes))
+        assert (response.status, response.cache) == (200, "miss")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["emulate", "estimate", "lint"])
+    def test_workers_run_on_the_loaded_schemes(
+        self, service_factory, inline_schemes, kind
+    ):
+        # the job crosses the process boundary with its parsed schemes
+        payload = dict(_emulate_payload(inline_schemes), kind=kind)
+        response = service_factory(workers=2).submit(payload)
+        assert (response.status, response.cache) == (200, "miss")
+        assert response.body == response_bytes(execute_job(parse_job(payload)))
 
 
 class TestCoalescing:
